@@ -210,8 +210,8 @@ class CheckpointStore {
 
   // Structural fingerprint of the restore cost model: options plus the shape
   // of the newest usable chain (ids, premigration, per-shard source tiers).
-  // The trainer folds it into the config-search memo context so checkpoint
-  // progress that changes recovery pricing rotates the memo.
+  // It changes whenever recovery pricing can. Not a config-search memo
+  // input: the liveput objective prices recovery after the sweep returns.
   uint64_t RestoreContextFingerprint() const;
 
   int64_t latest_local() const { return LatestUsable(); }

@@ -207,16 +207,11 @@ SearchConstraints ElasticTrainer::MakeConstraints(bool degraded) const {
   // collapsed below what the normal model can place.
   constraints.cpu_offload_optimizer = options_.cpu_offload_optimizer || degraded;
   if (ProactiveEngaged()) {
-    // Fold the predictor state into the memo context (stale hits against an
-    // older predictor become structurally impossible), and sweep unpruned:
-    // bound pruning keeps only candidates that can win on *time*, which would
-    // hide the slow-but-small configs the liveput argmax may prefer.
-    constraints.predictor_fingerprint = predictor_.Fingerprint();
-    // The liveput rescoring consumes the recovery cost model; folding its
-    // structural fingerprint makes stale hits against an older restore
-    // pricing (new chain, premigrated records, changed survivors)
-    // structurally impossible, mirroring the predictor fold above.
-    constraints.recovery_fingerprint = checkpoints_.RestoreContextFingerprint();
+    // Sweep unpruned: bound pruning keeps only candidates that can win on
+    // *time*, which would hide the slow-but-small configs the liveput argmax
+    // may prefer. The predictor and recovery pricing stay out of the
+    // constraints: the objective re-scores the sweep after it returns, so
+    // the search memos serve every liveput decision.
     constraints.prune = false;
   }
   return constraints;
@@ -753,7 +748,10 @@ void ElasticTrainer::ProcessHeartbeats() {
   if (reporting.empty()) {
     return;
   }
-  const double median = Percentile(heartbeat_times, 0.5);
+  // heartbeat_times stays indexed by `reporting` below: select the median on
+  // a copy in the reused scratch buffer.
+  heartbeat_scratch_.assign(heartbeat_times.begin(), heartbeat_times.end());
+  const double median = MedianInPlace(&heartbeat_scratch_);
   std::vector<GpuId> stutterers;
   for (size_t i = 0; i < reporting.size(); ++i) {
     if (heartbeat_times[i] > options_.stutter_threshold * median) {

@@ -189,7 +189,8 @@ const Partition* ConfigSearch::PartitionForDepth(int depth) const {
   return partitions_[index].get();
 }
 
-uint64_t ConfigSearch::ContextFingerprint(const SearchConstraints& constraints) const {
+uint64_t ConfigSearch::ContextFingerprint(uint64_t calibration_fingerprint,
+                                          const SearchConstraints& constraints) {
   uint64_t hash = 14695981039346656037ULL;
   const auto mix = [&hash](uint64_t value) {
     for (int byte = 0; byte < 8; ++byte) {
@@ -203,7 +204,7 @@ uint64_t ConfigSearch::ContextFingerprint(const SearchConstraints& constraints) 
     std::memcpy(&bits, &value, sizeof(bits));
     mix(bits);
   };
-  mix(calibration_->Fingerprint());
+  mix(calibration_fingerprint);
   mix_double(constraints.total_batch);
   mix_double(constraints.budget.gpu_memory_bytes);
   mix_double(constraints.budget.usable_fraction);
@@ -212,18 +213,16 @@ uint64_t ConfigSearch::ContextFingerprint(const SearchConstraints& constraints) 
   mix(constraints.cpu_offload_optimizer ? 1 : 0);
   mix_double(constraints.microbatch_tolerance);
   mix(static_cast<uint64_t>(constraints.microbatch_candidates));
-  mix(constraints.predictor_fingerprint);
-  mix(constraints.recovery_fingerprint);
   // constraints.prune is deliberately excluded: pruning changes which
   // candidates get simulated, never what a simulation returns, so memoized
   // results stay exact across prune-mode flips.
   return hash;
 }
 
-ConfigSearch::SweepKey ConfigSearch::MakeSweepKey(int gpus,
-                                                  const SearchConstraints& constraints) const {
+ConfigSearch::SweepKey ConfigSearch::MakeSweepKey(int gpus, uint64_t calibration_fingerprint,
+                                                  const SearchConstraints& constraints) {
   return SweepKey{gpus,
-                  calibration_->Fingerprint(),
+                  calibration_fingerprint,
                   constraints.total_batch,
                   constraints.budget.gpu_memory_bytes,
                   constraints.budget.usable_fraction,
@@ -232,14 +231,16 @@ ConfigSearch::SweepKey ConfigSearch::MakeSweepKey(int gpus,
                   constraints.cpu_offload_optimizer,
                   constraints.microbatch_tolerance,
                   constraints.microbatch_candidates,
-                  constraints.prune,
-                  constraints.predictor_fingerprint,
-                  constraints.recovery_fingerprint};
+                  constraints.prune};
 }
 
 Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
                                                    const SearchConstraints& constraints) const {
-  VARUNA_CHECK_GT(constraints.total_batch, 0.0);
+  if (!(constraints.total_batch > 0.0)) {  // Also rejects NaN.
+    std::ostringstream message;
+    message << "total_batch must be positive (got " << constraints.total_batch << ")";
+    return Result<std::vector<JobConfig>>::Error(message.str());
+  }
   const auto infeasible = [&] {
     std::ostringstream message;
     message << "no feasible configuration for " << gpus << " GPUs (model " << spec_->name
@@ -254,7 +255,10 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
   // L1: the whole-sweep memo. The key covers every input of the sweep (G, the
   // calibration fingerprint, all constraint fields), so a hit is exact — the
   // cached vector is the bit-identical result a fresh sweep would produce.
-  const SweepKey key = MakeSweepKey(gpus, constraints);
+  // The calibration is hashed once per sweep (both memos need it) but never
+  // cached across sweeps: a recalibration must rotate both.
+  const uint64_t calibration_fingerprint = calibration_->Fingerprint();
+  const SweepKey key = MakeSweepKey(gpus, calibration_fingerprint, constraints);
   int workers = 1;
   {
     std::unique_lock<std::mutex> lock(cache_mutex_);
@@ -278,7 +282,7 @@ Result<std::vector<JobConfig>> ConfigSearch::Sweep(int gpus,
 
   // L2: the candidate memo survives across G but not across calibration or
   // constraint changes — a stale hit would be a silent wrong morph.
-  candidate_memo_.SyncContext(ContextFingerprint(constraints));
+  candidate_memo_.SyncContext(ContextFingerprint(calibration_fingerprint, constraints));
 
   const std::vector<int> ms =
       PickMicrobatchCandidates(constraints.microbatch_tolerance, constraints.microbatch_candidates);

@@ -36,6 +36,13 @@
 // (kind, P, Nm) shape once; hits on the candidate memo never need a schedule.
 // All sweep-path tables are flat (sorted vectors / open addressing) per the
 // varuna_lint hot-path rule.
+//
+// Both memos are keyed on the sweep's own inputs and nothing else: a sweep is
+// a pure function of (G, calibration, SearchConstraints), its stall RNG seeded
+// per candidate from (P, Nm). The liveput policy re-scores the returned list
+// with its predictor and recovery pricing after Sweep() returns, so that state
+// can never make a hit stale and is in no key. Unpruned, a warm search's
+// Sweep() equals a cold one's bit for bit (property-tested).
 #ifndef SRC_MORPH_CONFIG_SEARCH_H_
 #define SRC_MORPH_CONFIG_SEARCH_H_
 
@@ -74,6 +81,8 @@ struct JobConfig {
   bool operator==(const JobConfig&) const = default;
 };
 
+// Every sweep input besides G and the calibration. Each field keys the memos,
+// so state used only to rank the returned list (liveput) does not belong here.
 struct SearchConstraints {
   double total_batch = 0.0;           // M_total, fixed by the user.
   MemoryBudget budget;                // Per-GPU memory.
@@ -92,19 +101,6 @@ struct SearchConstraints {
   // winner — and Best() — are bit-identical with or without pruning; only
   // Sweep()'s returned list thins. Disable for exhaustive diagnostics.
   bool prune = true;
-  // AvailabilityPredictor fingerprint (src/morph/liveput.h), folded in by the
-  // liveput policy; 0 when reactive or cold. Part of the memo context: any
-  // predictor learning step rotates the candidate memo and the sweep key, so
-  // a liveput rescoring can never reuse results cached under an older
-  // predictor state (conservative, like the budget field — simulated times do
-  // not depend on it, but stale-hit bugs stay structurally impossible).
-  uint64_t predictor_fingerprint = 0;
-  // CheckpointStore::RestoreContextFingerprint(), folded in by the liveput
-  // policy alongside the predictor fold; 0 when reactive or cold. The
-  // liveput rescoring amortizes survival risk by the recovery cost, so any
-  // restore-pricing change (chain frontier moved, records premigrated,
-  // survivors changed) rotates the memo context the same conservative way.
-  uint64_t recovery_fingerprint = 0;
 };
 
 // Cumulative cache/workload counters (monotone; snapshot and subtract to
@@ -212,18 +208,20 @@ class ConfigSearch {
   // (it depends only on the fixed model sections). Null when infeasible.
   const Partition* PartitionForDepth(int depth) const;
 
-  // FNV-1a over the calibration fingerprint and every constraint field that
+  // FNV-1a over `calibration_fingerprint` and every constraint field that
   // can influence a candidate's enumeration or simulated time. The candidate
   // memo clears when this rotates (conservative: a budget change cannot alter
-  // sim results, but forcing re-simulation makes stale-hit bugs structurally
-  // impossible and is covered by the invalidation tests).
-  uint64_t ContextFingerprint(const SearchConstraints& constraints) const;
+  // sim results, but forcing re-simulation keeps the memo exact by
+  // construction and is covered by the invalidation tests).
+  static uint64_t ContextFingerprint(uint64_t calibration_fingerprint,
+                                     const SearchConstraints& constraints);
 
   // (G, calibration fingerprint, every constraint field): the complete input
   // of Sweep. An empty cached vector records an infeasible sweep.
-  using SweepKey = std::tuple<int, uint64_t, double, double, double, int, double, bool,
-                              double, int, bool, uint64_t, uint64_t>;
-  SweepKey MakeSweepKey(int gpus, const SearchConstraints& constraints) const;
+  using SweepKey =
+      std::tuple<int, uint64_t, double, double, double, int, double, bool, double, int, bool>;
+  static SweepKey MakeSweepKey(int gpus, uint64_t calibration_fingerprint,
+                               const SearchConstraints& constraints);
 
   const TransformerSpec* spec_;
   const ModelSections* sections_;

@@ -26,10 +26,9 @@
 //     the whole horizon. Fewer VMs still ⇒ higher survival, but the argmax
 //     only trades throughput for robustness when the recovery cost warrants.
 //
-// The predictor's Fingerprint() is folded into SearchConstraints (and from
-// there into the candidate-memo context and the sweep key), so any learning
-// step rotates the memo context: a liveput decision can never be served a
-// candidate memoized under an older predictor state.
+// The objective re-scores ConfigSearch::Sweep()'s throughput list after the
+// sweep returns; the predictor is not a sweep input. A learning step changes
+// the scores, never the list, so the search memos stay valid across it.
 #ifndef SRC_MORPH_LIVEPUT_H_
 #define SRC_MORPH_LIVEPUT_H_
 
@@ -124,6 +123,7 @@ class AvailabilityPredictor {
   // FNV-1a over the decision-relevant state: transition counts, quantized
   // exposure, population and forecasts. Any observation that can change a
   // survival estimate rotates it; quiet accrual within one window does not.
+  // A change detector for callers and tests; no search memo is keyed on it.
   uint64_t Fingerprint() const;
 
  private:

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "src/common/result.h"
@@ -127,6 +129,27 @@ TEST(StatsTest, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(Percentile({1.0, 2.0, 3.0, 4.0}, 1.0), 4.0);
   EXPECT_DOUBLE_EQ(Percentile({1.0, 2.0, 3.0, 4.0}, 0.5), 2.5);
   EXPECT_DOUBLE_EQ(Percentile({4.0, 1.0, 3.0, 2.0}, 0.5), 2.5);  // Unsorted input.
+}
+
+TEST(StatsTest, MedianInPlaceBitIdenticalToPercentile) {
+  Rng rng(0x3ed1aULL);
+  // n = 1, odd and even sizes, then draws from a five-value set (heavy ties).
+  for (const int n : {1, 2, 3, 4, 7, 10, 31, 64, 101}) {
+    for (const bool ties : {false, true}) {
+      for (int trial = 0; trial < 20; ++trial) {
+        std::vector<double> samples(static_cast<size_t>(n));
+        for (double& x : samples) {
+          x = ties ? static_cast<double>(rng.UniformInt(0, 4)) * 0.25
+                   : rng.LogNormalMedian(1.0, 0.3);
+        }
+        const double expected = Percentile(samples, 0.5);
+        std::vector<double> scratch = samples;
+        const double median = MedianInPlace(&scratch);
+        EXPECT_EQ(std::bit_cast<uint64_t>(median), std::bit_cast<uint64_t>(expected))
+            << "n=" << n << " ties=" << ties << " trial=" << trial;
+      }
+    }
+  }
 }
 
 TEST(StatsTest, MeanOfSamples) { EXPECT_DOUBLE_EQ(Mean({2.0, 4.0, 9.0}), 5.0); }

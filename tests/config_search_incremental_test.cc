@@ -10,9 +10,16 @@
 //   * Stale-hit safety: recalibration and any constraint change (budget,
 //     micro-batch tolerance/candidates, M_total) clear the candidate memo
 //     and force re-simulation — a stale hit would be a silent wrong morph.
+//   * Memo purity: with pruning off, every sweep from one long-lived search
+//     (memos warmed by pruned and unpruned sweeps at other G) equals a cold
+//     search's sweep, doubles included. This is what lets the liveput
+//     policy re-score cached sweeps without keying the memos on its state.
+//   * Invalid input: a non-positive or NaN M_total is an error, not an abort.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -22,7 +29,6 @@
 #include "src/model/op_graph.h"
 #include "src/morph/calibration.h"
 #include "src/morph/config_search.h"
-#include "src/morph/liveput.h"
 
 namespace varuna {
 namespace {
@@ -234,47 +240,6 @@ TEST(ConfigSearchIncrementalTest, TotalBatchChangeForcesResimulation) {
   });
 }
 
-TEST(ConfigSearchIncrementalTest, PredictorLearningStepForcesResimulation) {
-  // A liveput predictor learning step (src/morph/liveput.h) rotates its
-  // fingerprint; the memo context must rotate with it, so a liveput decision
-  // can never be served a candidate memoized under an older predictor state.
-  ExpectFullResimulation([](Fixture*, SearchConstraints* constraints) {
-    AvailabilityPredictor predictor;
-    const uint64_t cold = predictor.Fingerprint();
-    predictor.ObserveGrant(10.0);
-    predictor.ObservePreemption(200.0);
-    ASSERT_NE(predictor.Fingerprint(), cold);
-    constraints->predictor_fingerprint = predictor.Fingerprint();
-  });
-}
-
-// Positive control: an *unchanged* predictor fingerprint is part of a stable
-// memo context — the repeat sweep is served from the sweep cache (zero new
-// simulations) and its candidates are bit-identical (operator==, doubles
-// included).
-TEST(ConfigSearchIncrementalTest, UnchangedPredictorFingerprintReusesBitIdentically) {
-  Fixture fx;
-  SearchConstraints constraints = DefaultConstraints();
-  constraints.prune = false;
-  AvailabilityPredictor predictor;
-  predictor.ObservePreemption(60.0);
-  constraints.predictor_fingerprint = predictor.Fingerprint();
-  ConfigSearch search(&fx.spec, &fx.sections, &fx.calibration);
-  const auto first = search.Sweep(36, constraints);
-  ASSERT_TRUE(first.ok());
-  const ConfigSearchStats before = search.stats();
-  ASSERT_GT(before.candidates_simulated, 0u);
-  const auto second = search.Sweep(36, constraints);
-  ASSERT_TRUE(second.ok());
-  const ConfigSearchStats after = search.stats();
-  EXPECT_EQ(after.candidates_simulated, before.candidates_simulated);
-  EXPECT_GT(after.sweep_cache_hits, before.sweep_cache_hits);
-  ASSERT_EQ(first.value().size(), second.value().size());
-  for (size_t i = 0; i < first.value().size(); ++i) {
-    EXPECT_TRUE(first.value()[i] == second.value()[i]) << "candidate " << i;
-  }
-}
-
 // Positive control: with nothing mutated, a new G reuses candidates instead
 // of re-simulating them all — the counters can tell reuse from invalidation.
 TEST(ConfigSearchIncrementalTest, UnchangedContextReusesCandidatesAtNewG) {
@@ -289,6 +254,56 @@ TEST(ConfigSearchIncrementalTest, UnchangedContextReusesCandidatesAtNewG) {
   EXPECT_GT(after.candidate_memo_hits, before.candidate_memo_hits);
   EXPECT_LT(after.candidates_simulated - before.candidates_simulated,
             ColdCandidateCount(fx, 35, constraints));
+}
+
+// --- Memo purity: a warm sweep is the cold sweep. ---------------------------
+
+TEST(ConfigSearchIncrementalTest, WarmUnprunedSweepsEqualColdSweeps) {
+  Fixture fx;
+  const SearchConstraints pruned = DefaultConstraints();
+  SearchConstraints unpruned = pruned;
+  unpruned.prune = false;
+  ConfigSearch warm(&fx.spec, &fx.sections, &fx.calibration);
+  Rng rng(0x9a2eULL);
+  constexpr int kPoints = 40;
+  for (int point = 0; point < kPoints; ++point) {
+    // Neighbouring and repeated G exercise both memo grains; the interleaved
+    // pruned Best() mirrors a session flipping between the reactive and the
+    // liveput policy on one search.
+    const int gpus = static_cast<int>(rng.UniformInt(12, 40));
+    if (point % 2 == 1) {
+      ASSERT_TRUE(warm.Best(static_cast<int>(rng.UniformInt(12, 40)), pruned).ok());
+    }
+    const auto warm_sweep = warm.Sweep(gpus, unpruned);
+    ConfigSearch cold(&fx.spec, &fx.sections, &fx.calibration);
+    const auto cold_sweep = cold.Sweep(gpus, unpruned);
+    ASSERT_TRUE(warm_sweep.ok()) << "point=" << point << " G=" << gpus;
+    ASSERT_TRUE(cold_sweep.ok()) << "point=" << point << " G=" << gpus;
+    EXPECT_EQ(warm_sweep.value(), cold_sweep.value()) << "point=" << point << " G=" << gpus;
+  }
+  // Both memo grains were exercised, or the property is vacuous.
+  const ConfigSearchStats stats = warm.stats();
+  EXPECT_GT(stats.sweep_cache_hits, 0u);
+  EXPECT_GT(stats.candidate_memo_hits, 0u);
+}
+
+// --- Invalid input is an error, not an abort. --------------------------------
+
+TEST(ConfigSearchIncrementalTest, NonPositiveTotalBatchIsAnError) {
+  Fixture fx;
+  ConfigSearch search(&fx.spec, &fx.sections, &fx.calibration);
+  for (const double total_batch : {0.0, -64.0, std::nan("")}) {
+    SearchConstraints constraints = DefaultConstraints();
+    constraints.total_batch = total_batch;
+    const auto best = search.Best(36, constraints);
+    const auto sweep = search.Sweep(36, constraints);
+    ASSERT_FALSE(best.ok()) << "total_batch=" << total_batch;
+    ASSERT_FALSE(sweep.ok()) << "total_batch=" << total_batch;
+    EXPECT_NE(best.error().find("total_batch"), std::string::npos) << best.error();
+    EXPECT_NE(sweep.error().find("total_batch"), std::string::npos) << sweep.error();
+  }
+  // Rejected before any memo is touched.
+  EXPECT_EQ(search.stats().sweeps, 0u);
 }
 
 }  // namespace

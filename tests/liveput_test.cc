@@ -303,6 +303,22 @@ TEST(LiveputHeadToHeadTest, GoldenProactiveCampaignFingerprint) {
       << report.fingerprint;
 }
 
+// The liveput objective re-scores sweeps after they return, so predictor
+// learning steps and checkpoint progress must not cost re-simulation: a
+// proactive fast-recovery campaign keeps both search memos warm.
+TEST(LiveputHeadToHeadTest, ProactiveCampaignReusesSearchMemos) {
+  ChaosCampaignSpec spec = FastRecoveryStormCampaign(1);
+  spec.options.morph_policy = MorphPolicy::kProactive;
+  const ChaosReport report = RunChaosCampaign(spec);
+  EXPECT_GT(report.stats.proactive_morphs + report.stats.premigrated_shards, 0);
+  const uint64_t lookups = report.stats.candidate_memo_hits + report.stats.candidate_memo_misses;
+  ASSERT_GT(lookups, 0u);
+  EXPECT_GE(static_cast<double>(report.stats.candidate_memo_hits) / static_cast<double>(lookups),
+            0.5)
+      << report.stats.candidate_memo_hits << " hits of " << lookups << " candidate lookups";
+  EXPECT_GT(report.stats.sweep_cache_hits, 0u);
+}
+
 // --- Cold and degenerate regimes fall back to reactive, exactly. -------------
 
 TEST(LiveputFallbackTest, StableMarketKeepsPredictorColdAndMatchesReactive) {
