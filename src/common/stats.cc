@@ -35,25 +35,15 @@ double RunningStats::stddev() const { return std::sqrt(variance()); }
 double Percentile(std::vector<double> samples, double q) {
   VARUNA_CHECK(!samples.empty());
   VARUNA_CHECK(q >= 0.0 && q <= 1.0);
-  std::sort(samples.begin(), samples.end());
   const double position = q * static_cast<double>(samples.size() - 1);
   const size_t lower = static_cast<size_t>(position);
-  const size_t upper = std::min(lower + 1, samples.size() - 1);
   const double fraction = position - static_cast<double>(lower);
-  return samples[lower] * (1.0 - fraction) + samples[upper] * fraction;
-}
-
-double MedianInPlace(std::vector<double>* samples) {
-  VARUNA_CHECK(!samples->empty());
-  const double position = 0.5 * static_cast<double>(samples->size() - 1);
-  const size_t lower = static_cast<size_t>(position);
-  const double fraction = position - static_cast<double>(lower);
-  const auto lower_it = samples->begin() + static_cast<std::ptrdiff_t>(lower);
-  std::nth_element(samples->begin(), lower_it, samples->end());
+  const auto lower_it = samples.begin() + static_cast<std::ptrdiff_t>(lower);
+  std::nth_element(samples.begin(), lower_it, samples.end());
   // nth_element leaves every element past `lower_it` >= it, so the next order
   // statistic is the smallest of that upper part.
   const double upper_value =
-      lower + 1 < samples->size() ? *std::min_element(lower_it + 1, samples->end()) : *lower_it;
+      lower + 1 < samples.size() ? *std::min_element(lower_it + 1, samples.end()) : *lower_it;
   return *lower_it * (1.0 - fraction) + upper_value * fraction;
 }
 

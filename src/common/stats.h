@@ -30,14 +30,9 @@ class RunningStats {
 };
 
 // Percentile of a sample set (linear interpolation between order statistics).
-// `q` in [0, 1]. Requires a non-empty sample vector; copies and sorts.
+// `q` in [0, 1]. Requires a non-empty sample vector; selects the two order
+// statistics around q with nth_element (no full sort).
 double Percentile(std::vector<double> samples, double q);
-
-// Percentile(*samples, 0.5) without the copy or the full sort: selects the two
-// middle order statistics in place (reordering `samples`) and interpolates
-// them with Percentile's arithmetic, so the result is bit-identical. Requires
-// a non-empty sample vector.
-double MedianInPlace(std::vector<double>* samples);
 
 // Mean of a sample set. Requires non-empty.
 double Mean(const std::vector<double>& samples);

@@ -25,6 +25,9 @@ ElasticTrainer::ElasticTrainer(SimEngine* engine, Cluster* cluster, SpotMarket* 
       sections_(IdentifyCutPoints(graph_, spec.num_layers).value()),
       checkpoints_(engine, options.checkpoint, cluster),
       predictor_(options.predictor) {
+  // ConfigSearch reports a bad M_total as an error, which the morph path
+  // treats like an infeasible G: the job would silently never be placed.
+  VARUNA_CHECK(options_.total_batch > 0.0) << "total_batch = " << options_.total_batch;
   const TraceReport trace = TraceCrossPartitionState(graph_, sections_, TraceOptions());
   shared_sync_bytes_ = trace.TotalSyncBytes();
   if (options_.budget.gpu_memory_bytes <= 0.0) {
@@ -748,10 +751,7 @@ void ElasticTrainer::ProcessHeartbeats() {
   if (reporting.empty()) {
     return;
   }
-  // heartbeat_times stays indexed by `reporting` below: select the median on
-  // a copy in the reused scratch buffer.
-  heartbeat_scratch_.assign(heartbeat_times.begin(), heartbeat_times.end());
-  const double median = MedianInPlace(&heartbeat_scratch_);
+  const double median = Percentile(heartbeat_times, 0.5);
   std::vector<GpuId> stutterers;
   for (size_t i = 0; i < reporting.size(); ++i) {
     if (heartbeat_times[i] > options_.stutter_threshold * median) {

@@ -419,8 +419,6 @@ class ElasticTrainer {
   // Simulated-time deadline until which each muted VM stays silent.
   std::map<VmId, double> heartbeat_mute_until_;
   std::map<VmId, int> missed_heartbeats_;
-  // Reused by ProcessHeartbeats for the in-place median (no per-beat alloc).
-  std::vector<double> heartbeat_scratch_;
   // (mini-batch id, examples committed) for every committed-and-not-rolled-
   // back mini-batch, in order: rollbacks refund exactly what each lost
   // mini-batch committed, even across morphs that changed ActualBatch().

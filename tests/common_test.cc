@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -131,22 +132,33 @@ TEST(StatsTest, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(Percentile({4.0, 1.0, 3.0, 2.0}, 0.5), 2.5);  // Unsorted input.
 }
 
-TEST(StatsTest, MedianInPlaceBitIdenticalToPercentile) {
+// The sort-based Percentile that selection replaced: the reference the
+// nth_element version must match bit for bit.
+double SortedPercentile(std::vector<double> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  const double position = q * static_cast<double>(samples.size() - 1);
+  const size_t lower = static_cast<size_t>(position);
+  const size_t upper = std::min(lower + 1, samples.size() - 1);
+  const double fraction = position - static_cast<double>(lower);
+  return samples[lower] * (1.0 - fraction) + samples[upper] * fraction;
+}
+
+TEST(StatsTest, PercentileBitIdenticalToSortedReference) {
   Rng rng(0x3ed1aULL);
   // n = 1, odd and even sizes, then draws from a five-value set (heavy ties).
   for (const int n : {1, 2, 3, 4, 7, 10, 31, 64, 101}) {
     for (const bool ties : {false, true}) {
-      for (int trial = 0; trial < 20; ++trial) {
-        std::vector<double> samples(static_cast<size_t>(n));
-        for (double& x : samples) {
-          x = ties ? static_cast<double>(rng.UniformInt(0, 4)) * 0.25
-                   : rng.LogNormalMedian(1.0, 0.3);
+      for (const double q : {0.0, 0.1, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+        for (int trial = 0; trial < 10; ++trial) {
+          std::vector<double> samples(static_cast<size_t>(n));
+          for (double& x : samples) {
+            x = ties ? static_cast<double>(rng.UniformInt(0, 4)) * 0.25
+                     : rng.LogNormalMedian(1.0, 0.3);
+          }
+          EXPECT_EQ(std::bit_cast<uint64_t>(Percentile(samples, q)),
+                    std::bit_cast<uint64_t>(SortedPercentile(samples, q)))
+              << "n=" << n << " ties=" << ties << " q=" << q << " trial=" << trial;
         }
-        const double expected = Percentile(samples, 0.5);
-        std::vector<double> scratch = samples;
-        const double median = MedianInPlace(&scratch);
-        EXPECT_EQ(std::bit_cast<uint64_t>(median), std::bit_cast<uint64_t>(expected))
-            << "n=" << n << " ties=" << ties << " trial=" << trial;
       }
     }
   }

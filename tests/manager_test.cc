@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/cluster/cluster.h"
 #include "src/cluster/vm.h"
 #include "src/manager/checkpoint.h"
@@ -77,6 +79,18 @@ TEST(ElasticTrainerTest, BootstrapsAndTrains) {
   EXPECT_GT(fx.trainer->stats().examples_processed, 10 * 2400.0);
   ASSERT_TRUE(fx.trainer->current_config().has_value());
   EXPECT_LE(fx.trainer->current_config()->gpus_used, 40);
+}
+
+// A non-positive or NaN M_total makes every sweep an error; the trainer must
+// refuse it at construction instead of running to the horizon unplaced.
+TEST(ElasticTrainerDeathTest, RejectsNonPositiveOrNanTotalBatch) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const double total_batch : {0.0, -64.0, std::nan("")}) {
+    TrainerOptions options;
+    options.total_batch = total_batch;
+    EXPECT_DEATH(SessionFixture(Gpt2_2_5B(), 8, options, StableDynamics()), "total_batch")
+        << "total_batch = " << total_batch;
+  }
 }
 
 TEST(ElasticTrainerTest, WritesCheckpointsPeriodically) {
