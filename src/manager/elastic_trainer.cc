@@ -28,6 +28,10 @@ ElasticTrainer::ElasticTrainer(SimEngine* engine, Cluster* cluster, SpotMarket* 
   // ConfigSearch reports a bad M_total as an error, which the morph path
   // treats like an infeasible G: the job would silently never be placed.
   VARUNA_CHECK(options_.total_batch > 0.0) << "total_batch = " << options_.total_batch;
+  // ProvisionTick re-arms itself at this interval: 0 would pin simulated time
+  // to one instant forever, and a negative or NaN delay is not a time.
+  VARUNA_CHECK(options_.provision_check_interval_s > 0.0)
+      << "provision_check_interval_s = " << options_.provision_check_interval_s;
   const TraceReport trace = TraceCrossPartitionState(graph_, sections_, TraceOptions());
   shared_sync_bytes_ = trace.TotalSyncBytes();
   if (options_.budget.gpu_memory_bytes <= 0.0) {

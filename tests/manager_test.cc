@@ -93,6 +93,20 @@ TEST(ElasticTrainerDeathTest, RejectsNonPositiveOrNanTotalBatch) {
   }
 }
 
+// ProvisionTick re-arms itself every provision_check_interval_s: 0 would
+// re-fire at one simulated instant forever, and a negative or NaN interval
+// would only abort later on a generic delay check.
+TEST(ElasticTrainerDeathTest, RejectsNonPositiveOrNanProvisionInterval) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const double interval : {0.0, -1.0, std::nan("")}) {
+    TrainerOptions options;
+    options.provision_check_interval_s = interval;
+    EXPECT_DEATH(SessionFixture(Gpt2_2_5B(), 8, options, StableDynamics()),
+                 "provision_check_interval_s")
+        << "provision_check_interval_s = " << interval;
+  }
+}
+
 TEST(ElasticTrainerTest, WritesCheckpointsPeriodically) {
   TrainerOptions options;
   options.total_batch = 2400;

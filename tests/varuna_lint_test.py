@@ -144,5 +144,15 @@ class LintFileTest(unittest.TestCase):
         self.assertIn("check-macro", violations[0])
 
 
+class AllowlistTest(unittest.TestCase):
+    """The pool allowlists are the reviewed gate for thread use: a stale entry
+    would wave through a future file that happens to reuse its name."""
+
+    def test_every_pool_allowlist_entry_exists(self):
+        root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+        for rel in varuna_lint.THREAD_POOL_FILES + varuna_lint.POOL_USER_FILES:
+            self.assertTrue(os.path.isfile(os.path.join(root, rel)), rel)
+
+
 if __name__ == "__main__":
     unittest.main()

@@ -116,8 +116,6 @@ POOL_USER_FILES = THREAD_POOL_FILES + (
     "src/morph/config_search.h",        # parallel candidate evaluation
     "src/manager/elastic_trainer.h",    # morph planning off the step loop
     "src/manager/elastic_trainer.cc",
-    "src/sim/sharded_engine.h",         # per-shard window drains
-    "src/sim/sharded_engine.cc",
     "src/train/trainers.h",             # pooled micro-batch execution
     "src/train/trainers.cc",
     "src/varuna/varuna.h",              # umbrella header re-export
