@@ -35,7 +35,7 @@
 // the candidate table at all. A ScheduleCache generates+validates each
 // (kind, P, Nm) shape once; hits on the candidate memo never need a schedule.
 // All sweep-path tables are flat (sorted vectors / open addressing) per the
-// varuna_lint hot-path rule.
+// varuna_analyze hot-path rule.
 //
 // Both memos are keyed on the sweep's own inputs and nothing else: a sweep is
 // a pure function of (G, calibration, SearchConstraints), its stall RNG seeded

@@ -120,12 +120,6 @@ class AvailabilityPredictor {
   // P(all `vms_used` placement nodes survive) = NodeSurvival^vms_used.
   double PlacementSurvival(int vms_used, double horizon_s) const;
 
-  // FNV-1a over the decision-relevant state: transition counts, quantized
-  // exposure, population and forecasts. Any observation that can change a
-  // survival estimate rotates it; quiet accrual within one window does not.
-  // A change detector for callers and tests; no search memo is keyed on it.
-  uint64_t Fingerprint() const;
-
  private:
   // Accrues exposure windows for the up and down populations up to now_s and
   // drops stale forecasts. Time never runs backwards on the DES.

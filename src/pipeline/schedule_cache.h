@@ -8,7 +8,7 @@
 // once per process.
 //
 // The index is a flat sorted vector of packed 64-bit keys (the sweep hot path
-// may not touch node-based containers — varuna_lint rule "hot-path"): lookups
+// may not touch node-based containers — varuna_analyze rule "hot-path"): lookups
 // binary-search, misses insert in key order (cold path only). Entries are
 // heap-allocated, so returned references survive later insertions.
 //

@@ -180,23 +180,42 @@ TEST(LiveputObjectiveTest, PlacementSurvivalIsMonotoneInVmsUsed) {
   }
 }
 
-// --- Fingerprint: rotation on learning, stability on quiet accrual. ----------
+// --- Survival moves on observations, holds still on quiet accrual. ----------
 
-TEST(AvailabilityPredictorTest, FingerprintRotatesOnObservationsOnly) {
+TEST(AvailabilityPredictorTest, SurvivalMovesOnObservationsOnly) {
   AvailabilityPredictor predictor;
   predictor.SetDemandHint(4);
-  predictor.ObserveGrant(0.0);
-  const uint64_t after_grant = predictor.Fingerprint();
-  // Quiet accrual within one window (and one decay quantum) is not a
-  // learning step: the candidate-memo context must hold still.
-  predictor.ObserveQuiet(1.0);
-  EXPECT_EQ(predictor.Fingerprint(), after_grant);
-  predictor.ObservePreemption(2.0);
-  EXPECT_NE(predictor.Fingerprint(), after_grant);
-  // Forecasts are decision-relevant state too (oracle pre-migration).
-  const uint64_t before_forecast = predictor.Fingerprint();
-  predictor.ForecastStorm(500.0, 2);
-  EXPECT_NE(predictor.Fingerprint(), before_forecast);
+  for (int vm = 0; vm < 4; ++vm) {
+    predictor.ObserveGrant(0.0);
+  }
+  // An hour of kill-free 10 s quiet ticks saturates the decayed exposure;
+  // from there quiet accrual is not a learning step and the estimates hold.
+  for (double now_s = 10.0; now_s <= 3600.0; now_s += 10.0) {
+    predictor.ObserveQuiet(now_s);
+  }
+  const double node = predictor.NodeSurvival(900.0);
+  const double placement = predictor.PlacementSurvival(3, 900.0);
+  predictor.ObserveQuiet(3610.0);
+  EXPECT_NEAR(predictor.NodeSurvival(900.0), node, 1e-9 * node);
+  EXPECT_NEAR(predictor.PlacementSurvival(3, 900.0), placement, 1e-9 * placement);
+  // A preemption is: both survivals drop well below their quiet values.
+  predictor.ObservePreemption(3620.0);
+  EXPECT_LT(predictor.NodeSurvival(900.0), 0.5 * node);
+  EXPECT_LT(predictor.PlacementSurvival(3, 900.0), 0.5 * placement);
+
+  // Oracle mode ignores the counts, so quiet accrual holds it bit-exactly;
+  // a forecast storm inside the horizon is decision-relevant state.
+  AvailabilityPredictor oracle;
+  oracle.EnableOracle(1e-4);
+  oracle.SetDemandHint(4);
+  for (int vm = 0; vm < 4; ++vm) {
+    oracle.ObserveGrant(0.0);
+  }
+  const double calm = oracle.NodeSurvival(900.0);
+  oracle.ObserveQuiet(1.0);
+  EXPECT_EQ(oracle.NodeSurvival(900.0), calm);
+  oracle.ForecastStorm(500.0, 2);
+  EXPECT_LT(oracle.NodeSurvival(900.0), calm);
 }
 
 // --- Campaign helpers. -------------------------------------------------------

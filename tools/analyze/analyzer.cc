@@ -1,10 +1,14 @@
 #include "tools/analyze/analyzer.h"
 
 #include <algorithm>
+#include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
+#include <iterator>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 namespace varuna {
 namespace analyze {
@@ -525,6 +529,284 @@ void CheckFingerprintCoverage(const LexedFile& stats_header, const LexedFile& se
 }
 
 // ---------------------------------------------------------------------------
+// Pass 4: tree rules
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using Code = std::vector<const Token*>;
+
+// The bench timing harness is the one reviewed determinism exception:
+// measuring wall time is its whole job, and nothing it times feeds a
+// simulation.
+constexpr std::string_view kTimingAllowFiles[] = {"bench/bench_util.h"};
+// The one place allowed to create threads.
+constexpr std::string_view kThreadPoolFiles[] = {"src/common/thread_pool.h",
+                                                 "src/common/thread_pool.cc"};
+// Files allowed to use the pool. Deterministic fan-out requires
+// pure-function-of-index work items with a fixed merge order, so every new
+// user is a deliberate, reviewed addition to this list.
+constexpr std::string_view kPoolUserFiles[] = {
+    "src/morph/config_search.h",      // parallel candidate evaluation
+    "src/manager/elastic_trainer.h",  // morph planning off the step loop
+    "src/manager/elastic_trainer.cc",
+    "src/train/trainers.h",  // pooled micro-batch execution
+    "src/train/trainers.cc",
+    "src/varuna/varuna.h",  // umbrella header re-export
+};
+// The per-event simulation hot path (src/sim/, the executor) and the
+// morph-decision sweep (src/morph/, the schedule cache it leans on) stay free
+// of node-based containers and std::function. The checkpoint store's flush
+// events and chain scans fire on the DES hot path during every storm.
+constexpr std::string_view kHotPathPrefixes[] = {"src/sim/", "src/morph/"};
+constexpr std::string_view kHotPathFiles[] = {
+    "src/pipeline/executor.h",       "src/pipeline/executor.cc",
+    "src/pipeline/schedule_cache.h", "src/pipeline/schedule_cache.cc",
+    "src/manager/checkpoint.h",      "src/manager/checkpoint.cc",
+};
+// Calibration is the one-time profiling step (§4.3): its std::map of profiled
+// points is built once at job start and only read afterwards.
+constexpr std::string_view kHotPathAllowFiles[] = {"src/morph/calibration.h",
+                                                   "src/morph/calibration.cc"};
+
+template <size_t N>
+bool Listed(const std::string_view (&list)[N], const std::string& rel) {
+  return std::find(std::begin(list), std::end(list), rel) != std::end(list);
+}
+
+bool IsOneOf(const Token* t, TokKind kind, std::initializer_list<std::string_view> texts) {
+  return t->kind == kind && std::find(texts.begin(), texts.end(), t->text) != texts.end();
+}
+bool PunctAt(const Code& code, size_t i, const char* text) {
+  return i < code.size() && IsPunct(code[i], text);
+}
+// code[i] is preceded by `std::`.
+bool StdQualified(const Code& code, size_t i) {
+  return i >= 3 && IsPunct(code[i - 1], ":") && IsPunct(code[i - 2], ":") &&
+         IsIdent(code[i - 3], "std");
+}
+// code[i] is the callee of a call to the C library function of that name:
+// unqualified, `std::` or `::`, but not a member (`x.time(`, `p->clock(`)
+// nor another namespace's (`sim::time(`).
+bool LibraryCall(const Code& code, size_t i) {
+  if (!PunctAt(code, i + 1, "(")) return false;
+  if (i == 0) return true;
+  if (IsPunct(code[i - 1], ".")) return false;
+  if (i >= 2 && IsPunct(code[i - 1], ">") && IsPunct(code[i - 2], "-")) return false;
+  if (i >= 2 && IsPunct(code[i - 1], ":") && IsPunct(code[i - 2], ":")) {
+    if (i == 2) return true;
+    const Token* scope = code[i - 3];
+    return IsIdent(scope, "std") || (scope->kind != TokKind::kIdent && !IsPunct(scope, ">"));
+  }
+  return true;
+}
+
+std::string MatchDeterminism(const Code& code, size_t i) {
+  const Token* t = code[i];
+  if (IsOneOf(t, TokKind::kIdent, {"rand", "srand", "time", "clock"}) && LibraryCall(code, i)) {
+    return t->text + "()";
+  }
+  if (IsIdent(t, "gettimeofday") && PunctAt(code, i + 1, "(")) return "gettimeofday()";
+  if (IsOneOf(t, TokKind::kIdent,
+              {"random_device", "system_clock", "steady_clock", "high_resolution_clock"})) {
+    return "std::" + t->text;
+  }
+  if (IsOneOf(t, TokKind::kHeader, {"<random>", "<chrono>"})) return "#include " + t->text;
+  return "";
+}
+
+std::string MatchAssert(const Code& code, size_t i) {
+  const bool call = IsIdent(code[i], "assert") && PunctAt(code, i + 1, "(") &&
+                    !(i > 0 && IsPunct(code[i - 1], "."));
+  return call ? "assert()" : "";
+}
+
+std::string MatchThreadCreation(const Code& code, size_t i) {
+  const Token* t = code[i];
+  if (IsOneOf(t, TokKind::kIdent, {"thread", "jthread", "async"}) && StdQualified(code, i)) {
+    return "std::" + t->text;
+  }
+  if (IsOneOf(t, TokKind::kHeader, {"<thread>", "<future>"})) return "#include " + t->text;
+  return "";
+}
+
+std::string MatchPoolUse(const Code& code, size_t i) {
+  if (IsIdent(code[i], "ThreadPool")) return "ThreadPool";
+  const bool include = i >= 2 && IsPunct(code[i - 2], "#") && IsIdent(code[i - 1], "include") &&
+                       code[i]->text == "\"src/common/thread_pool.h\"";
+  return include ? "#include " + code[i]->text : "";
+}
+
+std::string MatchHotPath(const Code& code, size_t i) {
+  const Token* t = code[i];
+  if (IsOneOf(t, TokKind::kIdent, {"function", "map", "set", "unordered_map", "unordered_set"}) &&
+      StdQualified(code, i)) {
+    return "std::" + t->text;
+  }
+  if (IsOneOf(t, TokKind::kHeader,
+              {"<map>", "<set>", "<unordered_map>", "<unordered_set>", "<functional>"})) {
+    return "#include " + t->text;
+  }
+  return "";
+}
+
+// `Tensor <name>` followed by `,` or `)` is a by-value parameter; references,
+// pointers, return types, members and template arguments do not match.
+std::string MatchTensorByValue(const Code& code, size_t i) {
+  const bool param = IsIdent(code[i], "Tensor") && i + 2 < code.size() &&
+                     code[i + 1]->kind == TokKind::kIdent &&
+                     IsOneOf(code[i + 2], TokKind::kPunct, {",", ")"});
+  return param ? "Tensor " + code[i + 1]->text : "";
+}
+
+// Time-like and byte-like `double` names need their unit: `_s` (or `_per_s`)
+// and `_bytes` (or `_bytes_per_s`, `_bps`); private members carry a trailing
+// underscore after the unit. A bare `bytes` is already a unit, and
+// dimensionless names that merely mention a time word (stall_probability)
+// are exempt.
+std::string MatchUnitSuffix(const Code& code, size_t i) {
+  if (!IsIdent(code[i], "double") || i + 2 >= code.size() ||
+      code[i + 1]->kind != TokKind::kIdent ||
+      !IsOneOf(code[i + 2], TokKind::kPunct, {",", ")", "=", ";", "{"})) {
+    return "";
+  }
+  const std::string& name = code[i + 1]->text;
+  for (std::string_view dimensionless :
+       {"probability", "prob", "ratio", "fraction", "factor", "sigma", "count", "slot", "slots"}) {
+    if (name.ends_with(dimensionless)) return "";
+  }
+  constexpr std::string_view kTimeWords[] = {"time",     "latency",  "delay",  "timeout",
+                                             "interval", "duration", "deadline", "period",
+                                             "stall",    "horizon"};
+  constexpr std::string_view kByteWords[] = {"byte", "bytes", "payload"};
+  bool time_word = false;
+  bool byte_word = false;
+  std::istringstream words(name);
+  for (std::string word; std::getline(words, word, '_');) {
+    time_word = time_word || Listed(kTimeWords, word);
+    byte_word = byte_word || Listed(kByteWords, word);
+  }
+  std::string unit = name;
+  if (unit.ends_with("_")) unit.pop_back();
+  if (time_word) {
+    return unit.ends_with("_s") ? "" : "double '" + name + "' reads as a time; suffix it with _s";
+  }
+  if (byte_word && name != "bytes" && !unit.ends_with("_bytes") &&
+      !unit.ends_with("_bytes_per_s") && !unit.ends_with("_bps")) {
+    return "double '" + name + "' reads as a byte count; suffix it with _bytes";
+  }
+  return "";
+}
+
+struct TokenRule {
+  const char* rule;
+  std::string (*match)(const Code& code, size_t i);
+  const char* advice;  // appended to the match; empty when the match says it all
+};
+
+constexpr TokenRule kDeterminism = {
+    "determinism", MatchDeterminism,
+    " breaks the SimEngine determinism contract; route randomness through varuna::Rng "
+    "and time through SimEngine::now()"};
+constexpr TokenRule kCheckMacro = {
+    "check-macro", MatchAssert, ": use VARUNA_CHECK (src/common/check.h) instead"};
+constexpr TokenRule kThreadCreation = {
+    "threading", MatchThreadCreation,
+    ": spawn work through the deterministic pool in src/common/thread_pool.h, not ad-hoc "
+    "threads"};
+constexpr TokenRule kPoolUse = {
+    "threading", MatchPoolUse,
+    " outside the reviewed pool-user allowlist; pooled work items must be pure functions of "
+    "their index, so add the file to kPoolUserFiles (tools/analyze/analyzer.cc) deliberately"};
+constexpr TokenRule kHotPath = {
+    "hot-path", MatchHotPath,
+    " in a simulation hot-path file; use flat vectors / the SimEngine slot pool / "
+    "SmallCallback (src/sim/callback.h), or add the file to kHotPathAllowFiles deliberately"};
+constexpr TokenRule kTensorByValue = {
+    "tensor-by-value", MatchTensorByValue,
+    ": a by-value Tensor parameter copies the element buffer; take const Tensor& (input) "
+    "or Tensor* (output)"};
+constexpr TokenRule kUnitSuffix = {"unit-suffix", MatchUnitSuffix, ""};
+
+void CheckIncludeGuard(const LexedFile& file, const Code& code,
+                       const SuppressionIndex& suppressions, std::vector<Finding>* findings) {
+  std::string expected = file.rel;
+  for (char& c : expected) {
+    const bool separator = c == '/' || c == '.' || c == '-';
+    c = separator ? '_' : static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  }
+  expected += '_';
+  const Token* ifndef = nullptr;
+  const Token* define = nullptr;
+  for (size_t i = 0; i + 2 < code.size() && define == nullptr; ++i) {
+    if (!IsPunct(code[i], "#") || code[i + 2]->kind != TokKind::kIdent) continue;
+    if (ifndef == nullptr && IsIdent(code[i + 1], "ifndef")) {
+      ifndef = code[i + 2];
+    } else if (ifndef != nullptr && IsIdent(code[i + 1], "define")) {
+      define = code[i + 2];
+    }
+  }
+  const int line = ifndef == nullptr ? 1 : ifndef->line;
+  if (suppressions.Allows(line, "include-guard")) return;
+  if (define == nullptr) {
+    Report(findings, file.rel, line, "include-guard", "missing include guard " + expected);
+  } else if (ifndef->text != expected || define->text != expected) {
+    const std::string& got = ifndef->text != expected ? ifndef->text : define->text;
+    Report(findings, file.rel, line, "include-guard", "guard is " + got + ", want " + expected);
+  }
+}
+
+}  // namespace
+
+void CheckTreeRules(const LexedFile& file, std::vector<Finding>* findings) {
+  const std::string& rel = file.rel;
+  const bool in_src = rel.starts_with("src/");
+  const bool replay_checked = in_src || rel.starts_with("tests/") ||
+                              rel.starts_with("bench/") || rel.starts_with("examples/");
+  const bool hot_path = (std::any_of(std::begin(kHotPathPrefixes), std::end(kHotPathPrefixes),
+                                     [&](std::string_view p) { return rel.starts_with(p); }) ||
+                         Listed(kHotPathFiles, rel)) &&
+                        !Listed(kHotPathAllowFiles, rel);
+  const bool unit_scoped =
+      (rel.starts_with("src/net/") || rel.starts_with("src/cluster/")) && rel.ends_with(".h");
+
+  std::vector<const TokenRule*> rules;
+  if (replay_checked && !Listed(kTimingAllowFiles, rel)) rules.push_back(&kDeterminism);
+  if (replay_checked) rules.push_back(&kCheckMacro);
+  if (in_src && !Listed(kThreadPoolFiles, rel)) rules.push_back(&kThreadCreation);
+  if (in_src && !Listed(kThreadPoolFiles, rel) && !Listed(kPoolUserFiles, rel)) {
+    rules.push_back(&kPoolUse);
+  }
+  if (hot_path) rules.push_back(&kHotPath);
+  if (in_src) rules.push_back(&kTensorByValue);
+  if (unit_scoped) rules.push_back(&kUnitSuffix);
+
+  const SuppressionIndex suppressions(file);
+  const Code code = CodeTokens(file);
+  for (size_t i = 0; i < code.size(); ++i) {
+    for (const TokenRule* rule : rules) {
+      const std::string what = rule->match(code, i);
+      if (what.empty() || suppressions.Allows(code[i]->line, rule->rule)) continue;
+      Report(findings, rel, code[i]->line, rule->rule, what + rule->advice);
+    }
+  }
+  if (rel.ends_with(".h")) CheckIncludeGuard(file, code, suppressions, findings);
+}
+
+std::vector<std::string> TreeRuleFileLists() {
+  std::vector<std::string> files;
+  const auto append = [&files](const auto& list) {
+    files.insert(files.end(), std::begin(list), std::end(list));
+  };
+  append(kTimingAllowFiles);
+  append(kThreadPoolFiles);
+  append(kPoolUserFiles);
+  append(kHotPathFiles);
+  append(kHotPathAllowFiles);
+  return files;
+}
+
+// ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
 
@@ -538,6 +820,9 @@ bool ReadFile(const std::string& path, std::string* out) {
   *out = buffer.str();
   return true;
 }
+
+// Deliberately defective inputs for this analyzer's own tests: data, not code.
+constexpr std::string_view kFixturesRel = "tests/analyze_fixtures";
 
 bool HasSourceExtension(const std::filesystem::path& path) {
   const std::string ext = path.extension().string();
@@ -575,7 +860,8 @@ int RunAnalysis(const AnalyzerOptions& options, std::vector<Finding>* findings,
       if (ec) break;
       const fs::path& p = it->path();
       const std::string name = p.filename().string();
-      if (it->is_directory() && (name.rfind("build", 0) == 0 || name[0] == '.')) {
+      if (it->is_directory() && (name.rfind("build", 0) == 0 || name[0] == '.' ||
+                                 fs::relative(p, root).generic_string() == kFixturesRel)) {
         it.disable_recursion_pending();
         continue;
       }
@@ -602,6 +888,7 @@ int RunAnalysis(const AnalyzerOptions& options, std::vector<Finding>* findings,
   CheckIncludeGraph(files, spec, findings);
   for (const LexedFile& file : files) {
     if (file.rel.rfind("src/", 0) == 0) CheckRngDiscipline(file, findings);
+    CheckTreeRules(file, findings);
   }
 
   const LexedFile* stats_header = nullptr;

@@ -1,7 +1,5 @@
-// varuna-analyze passes: semantic checks on the lexed token stream.
-//
-// Three hazard classes that the line-oriented varuna_lint.py regexes cannot
-// see, each defending a piece of the bit-identical-replay contract:
+// varuna-analyze passes: checks on the lexed token stream, each defending a
+// piece of the bit-identical-replay contract or a house rule.
 //
 //   layering / include-cycle
 //     The #include DAG over the src/ modules must match the checked-in
@@ -17,7 +15,7 @@
 //     site changes. Flagged: copy-initialisation from an existing Rng
 //     (rng-copy), draws on a by-value Rng parameter (rng-value-param;
 //     passing Rng by value as a *sink* that only stores it is fine), and
-//     draws on an unnamed Rng temporary (rng-temp).
+//     draws on an unnamed Rng temporary (rng-temp). src/ only.
 //
 //   fingerprint-coverage
 //     Every SessionStats field must be classified with a `// fingerprint`
@@ -26,6 +24,30 @@
 //     as `stats.<field>` there, observability-tagged fields must not, and
 //     no serialized name may be unknown. State can never silently join or
 //     leave the replay contract.
+//
+//   tree rules (CheckTreeRules), scoped by path:
+//     determinism      no rand()/srand()/time()/clock() (unqualified, std:: or
+//                      ::), std::random_device, std::chrono::*_clock,
+//                      gettimeofday(), <random> or <chrono>: randomness flows
+//                      through varuna::Rng and time through SimEngine::now().
+//                      src/, tests/, bench/ and examples/, except the bench
+//                      timing harness (bench/bench_util.h).
+//     check-macro      VARUNA_CHECK instead of assert(): contract checks stay
+//                      on in release builds. Same scope as determinism.
+//     include-guard    header guards are the path uppercased:
+//                      src/sim/engine.h -> SRC_SIM_ENGINE_H_. Every header.
+//     unit-suffix      `double` parameters and members in src/net and
+//                      src/cluster headers that read as times end in `_s`,
+//                      byte counts in `_bytes`.
+//     threading        no std::thread/std::jthread/std::async, <thread> or
+//                      <future> in src/ outside src/common/thread_pool.*, and
+//                      ThreadPool use only in the reviewed pool-user files.
+//     hot-path         no std::function, node-based std containers or their
+//                      headers in src/sim/, src/morph/, the executor, the
+//                      schedule cache and the checkpoint store (calibration
+//                      is the reviewed exception).
+//     tensor-by-value  src/ functions take const Tensor& or Tensor*, never a
+//                      by-value Tensor (it copies the element buffer).
 //
 // Any finding can be suppressed on its line with
 // `// varuna-analyze: allow(<rule>)`.
@@ -76,9 +98,18 @@ void CheckRngDiscipline(const LexedFile& file, std::vector<Finding>* findings);
 void CheckFingerprintCoverage(const LexedFile& stats_header, const LexedFile& serializer,
                               std::vector<Finding>* findings);
 
+// Pass 4: the path-scoped tree rules listed above, within one file.
+void CheckTreeRules(const LexedFile& file, std::vector<Finding>* findings);
+
+// Every repo-relative file the tree rules name: the timing exception, the
+// thread-pool and pool-user files, the hot-path files and their exceptions.
+// A stale entry would wave through a future file that reuses its name.
+std::vector<std::string> TreeRuleFileLists();
+
 struct AnalyzerOptions {
-  std::string root;                                // repo root (absolute or cwd-relative)
-  std::vector<std::string> roots = {"src"};        // scan roots, relative to `root`
+  std::string root;  // repo root (absolute or cwd-relative)
+  // Scan roots, relative to `root`; tests/analyze_fixtures is never scanned.
+  std::vector<std::string> roots = {"src", "tests", "bench", "examples"};
   std::string layering_rel = "tools/analyze/layering.txt";
   std::string stats_header_rel = "src/manager/elastic_trainer.h";
   std::string serializer_rel = "src/varuna/determinism.cc";

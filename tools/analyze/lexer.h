@@ -1,6 +1,6 @@
-// varuna-analyze lexer: a real (if minimal) C++ tokenizer, so the semantic
-// passes never mistake comment or string-literal text for code — the exact
-// blind spot the line-oriented tools/varuna_lint.py regexes have.
+// varuna-analyze lexer: a real (if minimal) C++ tokenizer, so the passes
+// never mistake comment or string-literal text for code — the blind spot of
+// any line-oriented regex checker.
 //
 // Handled faithfully:
 //   * line continuations (backslash-newline splicing, line numbers preserved),

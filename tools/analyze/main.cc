@@ -3,12 +3,12 @@
 //   varuna_analyze [--root DIR] [--layering REL] [--stats-header REL]
 //                  [--serializer REL] [scan-roots...]
 //
-// Scan roots default to `src`; REL paths are relative to --root (default the
-// current directory). Exit status: 0 clean, 1 findings, 2 usage/config error.
+// Scan roots default to `src tests bench examples`; REL paths are relative to
+// --root (default the current directory). Exit status: 0 clean, 1 findings,
+// 2 usage/config error.
 //
 // Runs in CI under the ctest label `lint` (tools/analyze/CMakeLists.txt), so
-// every leg checks layering, Rng stream discipline, and fingerprint coverage
-// on the exact tree it builds.
+// every leg checks every rule in analyzer.h on the exact tree it builds.
 #include <cstdio>
 #include <cstring>
 #include <string>
