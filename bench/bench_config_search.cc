@@ -132,6 +132,9 @@ int Run(int argc, char** argv) {
               "pooled == serial verified\n\n",
               serial_configs.size(), constraints.microbatch_candidates);
 
+  // "Cold" means memo-cold: ClearCaches() drops the sweep and candidate memos
+  // but never the process-wide schedules, so these rows time candidate
+  // simulation over already-generated schedules, not schedule generation.
   const BenchStats serial_cold = TimeIt(mode.Warmup(1), mode.Repeats(7), [&] {
     serial_search.ClearCaches();
     (void)serial_search.Sweep(gpus, constraints);

@@ -5,6 +5,7 @@
 
 #include "src/common/check.h"
 #include "src/common/stats.h"
+#include "src/pipeline/schedule_cache.h"
 #include "src/pipeline/stage_timing.h"
 
 namespace varuna {
@@ -567,8 +568,8 @@ double ElasticTrainer::MeasuredMinibatchSeconds() {
     // timeout; keep the cadence rather than re-measuring a broken pipeline.
     return cached_minibatch_s_;
   }
-  // The sweep already generated+validated this shape; the cache hands it back.
-  const Schedule& schedule = search_->schedule_cache()->Get(
+  // The sweep already generated+validated this shape; the memo hands it back.
+  const Schedule& schedule = ScheduleCache::Shared().Get(
       ScheduleKind::kVaruna, config_->pipeline_depth, config_->num_microbatches);
   const std::vector<StageTiming> timings = ComputeStageTimings(
       sections_, partition_.value(), vm_type_.gpu, config_->microbatch_size);

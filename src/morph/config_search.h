@@ -32,8 +32,9 @@
 //     across serial and pooled sweeps (property-tested).
 // Whole sweeps are additionally memoized by (G, calibration fingerprint,
 // constraints): an exact revisit of a cluster size resolves without touching
-// the candidate table at all. A ScheduleCache generates+validates each
-// (kind, P, Nm) shape once; hits on the candidate memo never need a schedule.
+// the candidate table at all. The process-wide ScheduleCache generates and
+// validates each (kind, P, Nm) shape once, shared with every other search;
+// hits on the candidate memo never need a schedule.
 // All sweep-path tables are flat (sorted vectors / open addressing) per the
 // varuna_analyze hot-path rule.
 //
@@ -191,13 +192,16 @@ class ConfigSearch {
   // disable pruning for the exhaustive list.
   Result<std::vector<JobConfig>> Sweep(int gpus, const SearchConstraints& constraints) const;
 
-  // The shared schedule memo (also used by the manager for executor runs).
-  ScheduleCache* schedule_cache() const { return &schedule_cache_; }
+  // The process-wide schedule memo, ScheduleCache::Shared(): one copy of each
+  // shape for every search, the manager's executor runs and the trainers.
+  ScheduleCache* schedule_cache() const { return &ScheduleCache::Shared(); }
 
   ConfigSearchStats stats() const;
 
-  // Drops memoized sweeps, candidate evaluations, partitions and schedules
-  // (for cold-start benchmarking).
+  // Drops memoized sweeps, candidate evaluations, partitions and the stats,
+  // so the next sweep re-simulates every candidate. Schedules stay: they live
+  // in the process-wide ScheduleCache, a pure function of their key, so a
+  // "cold" sweep after this call still finds every shape it has seen before.
   void ClearCaches() const;
 
  private:
@@ -233,7 +237,6 @@ class ConfigSearch {
   // Sweep() calls on one instance must not overlap (the internal fan-out is
   // unaffected).
   mutable std::mutex sweep_mutex_;
-  mutable ScheduleCache schedule_cache_;
   mutable std::mutex cache_mutex_;  // Guards sweep_cache_, stats_, simulators_.
   // Whole-sweep memo, sorted by key (flat: binary-search hits, O(n) miss-only
   // inserts — a session sees hundreds of sweeps, not millions).

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <queue>
 #include <set>
-#include <tuple>
 
 #include "src/common/check.h"
 #include "src/common/gantt.h"
@@ -545,43 +543,31 @@ std::string ToString(ScheduleKind kind) {
   return "?";
 }
 
-Schedule GenerateScheduleUncached(ScheduleKind kind, int depth, int num_microbatches) {
-  switch (kind) {
-    case ScheduleKind::kVaruna:
-      return VarunaGenerator(depth, num_microbatches).Run();
-    case ScheduleKind::kGpipe:
-      return GenerateGpipe(depth, num_microbatches);
-    case ScheduleKind::kOneFOneB:
-      return GenerateOneFOneB(depth, num_microbatches);
-    case ScheduleKind::kDeepSpeed:
-      return GenerateDeepSpeed(depth, num_microbatches);
-  }
-  VARUNA_CHECK(false) << "unknown schedule kind";
-  return {};
-}
-
 Schedule GenerateSchedule(ScheduleKind kind, int depth, int num_microbatches) {
   VARUNA_CHECK_GE(depth, 1);
   VARUNA_CHECK_GE(num_microbatches, 1);
-  // Generation is deterministic; the manager regenerates the same schedules
-  // on every morphing decision, so memoise. (Single-threaded simulator.)
-  static std::map<std::tuple<ScheduleKind, int, int>, Schedule> cache;
-  const auto key = std::make_tuple(kind, depth, num_microbatches);
-  const auto it = cache.find(key);
-  if (it != cache.end()) {
-    return it->second;
+  VARUNA_CHECK_LE(num_microbatches, kMaxScheduleMicrobatches)
+      << "num_microbatches exceeds PipeOp's 24-bit micro-batch field";
+  Schedule schedule;
+  switch (kind) {
+    case ScheduleKind::kVaruna:
+      schedule = VarunaGenerator(depth, num_microbatches).Run();
+      break;
+    case ScheduleKind::kGpipe:
+      schedule = GenerateGpipe(depth, num_microbatches);
+      break;
+    case ScheduleKind::kOneFOneB:
+      schedule = GenerateOneFOneB(depth, num_microbatches);
+      break;
+    case ScheduleKind::kDeepSpeed:
+      schedule = GenerateDeepSpeed(depth, num_microbatches);
+      break;
   }
-  Schedule schedule = GenerateScheduleUncached(kind, depth, num_microbatches);
-  // varuna-verify: a generator bug must never reach the executor — validate
-  // once per (kind, depth, m) before the schedule enters the cache.
+  // varuna-verify: a generator bug must never reach the executor.
   const ScheduleValidation validation = ValidateSchedule(schedule);
   VARUNA_CHECK(validation.ok()) << "generated " << ToString(kind)
                                 << " schedule violates invariants:\n"
                                 << validation.ToString();
-  if (cache.size() > 4096) {
-    cache.erase(cache.begin());  // Bounded; evict an arbitrary entry.
-  }
-  cache[key] = schedule;
   return schedule;
 }
 

@@ -12,12 +12,13 @@
 #ifndef SRC_PIPELINE_SCHEDULE_H_
 #define SRC_PIPELINE_SCHEDULE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace varuna {
 
-enum class PipeOpType {
+enum class PipeOpType : uint8_t {
   kForward,
   kRecompute,
   kBackward,
@@ -27,12 +28,20 @@ enum class PipeOpType {
   kIdleBackward,
 };
 
+// Largest micro-batch count a schedule may have: PipeOp keeps the micro-batch
+// index in a signed 24-bit field.
+inline constexpr int kMaxScheduleMicrobatches = (1 << 23) - 1;
+
+// One op is 4 bytes: schedules are the largest data the morph decision path
+// keeps (every (kind, P, Nm) shape a sweep simulates stays in the
+// ScheduleCache), so the op is packed rather than padded to 8.
 struct PipeOp {
-  PipeOpType type = PipeOpType::kForward;
-  int microbatch = -1;  // -1 for idle ops.
+  PipeOpType type : 8 = PipeOpType::kForward;
+  int32_t microbatch : 24 = -1;  // -1 for idle ops.
 
   bool operator==(const PipeOp&) const = default;
 };
+static_assert(sizeof(PipeOp) == 4);
 
 enum class ScheduleKind { kVaruna, kGpipe, kOneFOneB, kDeepSpeed };
 
@@ -51,7 +60,10 @@ struct Schedule {
 };
 
 // Generates the static schedule for `kind` with `depth` stages and
-// `num_microbatches` micro-batches. Requires depth >= 1, num_microbatches >= 1.
+// `num_microbatches` micro-batches, then CHECKs it against ValidateSchedule().
+// Requires depth >= 1 and 1 <= num_microbatches <= kMaxScheduleMicrobatches.
+// Pure and unmemoized: O(P * Nm) work on every call. Callers that revisit
+// shapes go through ScheduleCache::Shared() (schedule_cache.h).
 Schedule GenerateSchedule(ScheduleKind kind, int depth, int num_microbatches);
 
 // Renders a schedule as a unit-time ASCII Gantt (Tf = Tr = 1, Tb = 2), for

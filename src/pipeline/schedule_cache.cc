@@ -7,6 +7,11 @@
 
 namespace varuna {
 
+ScheduleCache& ScheduleCache::Shared() {
+  static ScheduleCache cache;
+  return cache;
+}
+
 uint64_t ScheduleCache::PackKey(ScheduleKind kind, int depth, int num_microbatches) {
   VARUNA_CHECK_GT(depth, 0);
   VARUNA_CHECK_GT(num_microbatches, 0);
@@ -29,8 +34,8 @@ const Schedule& ScheduleCache::Get(ScheduleKind kind, int depth, int num_microba
   }
   ++stats_.misses;
   // Generation runs under the lock: concurrent first requests for the same
-  // shape must not both generate, and a cold sweep's shapes are all distinct
-  // anyway, so contention here is a non-issue. The sorted insert is O(n) but
+  // shape must not both generate, and each shape misses once per process, so
+  // contention is confined to the first sweeps. The sorted insert is O(n) but
   // miss-only; the hit path is a binary search over flat memory.
   Entry entry;
   entry.key = key;
@@ -43,12 +48,6 @@ const Schedule& ScheduleCache::Get(ScheduleKind kind, int depth, int num_microba
 ScheduleCacheStats ScheduleCache::stats() const {
   std::unique_lock<std::mutex> lock(mutex_);
   return stats_;
-}
-
-void ScheduleCache::Clear() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  entries_.clear();
-  stats_ = ScheduleCacheStats();
 }
 
 }  // namespace varuna

@@ -1,21 +1,25 @@
-// Memoized schedule generation. GenerateSchedule() builds and validates a
+// The process-wide schedule memo. GenerateSchedule() builds and validates a
 // schedule from scratch on every call — O(P * Nm) work plus the full
-// ValidateSchedule() contract check — yet the sweep and the manager keep
-// asking for the same shapes: every morph event regenerates (kVaruna, P, Nm)
-// for each candidate depth, and a spot trace revisits the same cluster sizes
-// for hours. The cache keys on (kind, depth, num_microbatches) — the complete
-// input of GenerateSchedule — so each shape is generated and validated exactly
-// once per process.
+// ValidateSchedule() contract check, 60-100 ms for a P=47, Nm=4096 shape — yet
+// the sweep, the manager and the trainers keep asking for the same shapes:
+// every morph event needs (kVaruna, P, Nm) for each candidate depth, and a
+// spot trace revisits the same cluster sizes for hours. The memo keys on
+// (kind, depth, num_microbatches) — the complete input of GenerateSchedule —
+// so each shape is generated and validated exactly once per process, and
+// every ConfigSearch, ElasticTrainer and SyncPipelineTrainer shares the one
+// copy through Shared(). It is the only schedule memo: GenerateSchedule()
+// itself keeps none.
 //
 // The index is a flat sorted vector of packed 64-bit keys (the sweep hot path
 // may not touch node-based containers — varuna_analyze rule "hot-path"): lookups
 // binary-search, misses insert in key order (cold path only). Entries are
 // heap-allocated, so returned references survive later insertions.
 //
-// Thread-safe: Get() may be called concurrently from ThreadPool workers during
-// a pooled sweep. Entries are never evicted, so returned references stay valid
-// for the cache's lifetime (Clear() is the exception and must only be called
-// while no other thread is in Get()).
+// Thread-safe: Get() may be called concurrently from ThreadPool workers and
+// from independent searches; a miss generates under the lock, so a shape is
+// never generated twice. Entries are never evicted and there is no Clear():
+// a schedule is a pure function of its key, and other holders' references
+// must stay valid for the life of the process.
 #ifndef SRC_PIPELINE_SCHEDULE_CACHE_H_
 #define SRC_PIPELINE_SCHEDULE_CACHE_H_
 
@@ -35,17 +39,19 @@ struct ScheduleCacheStats {
 
 class ScheduleCache {
  public:
+  // The one instance.
+  static ScheduleCache& Shared();
+
   // Returns the cached schedule for the shape, generating (and validating) it
-  // on first use. The reference is stable until Clear().
+  // on first use. The reference is stable for the life of the process.
   const Schedule& Get(ScheduleKind kind, int depth, int num_microbatches);
 
+  // Process-wide totals since start-up.
   ScheduleCacheStats stats() const;
 
-  // Drops every entry (and invalidates previously returned references). Only
-  // safe while no concurrent Get() is running.
-  void Clear();
-
  private:
+  ScheduleCache() = default;
+
   struct Entry {
     uint64_t key = 0;  // PackKey(kind, depth, num_microbatches).
     std::unique_ptr<Schedule> schedule;

@@ -195,8 +195,9 @@ class SyncPipelineTrainer {
   std::unique_ptr<ThreadPool> pool_;
   int peak_stash_slots_ = 0;
 
-  // Mini-batch execution state, reused in place across calls.
-  Schedule schedule_;
+  // Mini-batch execution state, reused in place across calls. The schedule is
+  // borrowed from ScheduleCache::Shared(), never copied.
+  const Schedule* schedule_ = nullptr;
   const Batch* batch_ = nullptr;
   std::vector<MicrobatchView> views_;
   // stash_[s][m]: stage s's input for micro-batch m, kept until backward and

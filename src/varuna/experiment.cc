@@ -9,6 +9,7 @@
 #include "src/model/op_graph.h"
 #include "src/model/tracer.h"
 #include "src/pipeline/memory.h"
+#include "src/pipeline/schedule_cache.h"
 #include "src/pipeline/stage_timing.h"
 
 namespace varuna {
@@ -117,8 +118,8 @@ PipelineEvalResult EvaluatePipeline(const PipelineEvalRequest& request) {
   VARUNA_CHECK(placement.ok()) << placement.error();
 
   // --- Execute.
-  const Schedule schedule =
-      GenerateSchedule(ScheduleFor(request.system), depth, result.num_microbatches);
+  const Schedule& schedule =
+      ScheduleCache::Shared().Get(ScheduleFor(request.system), depth, result.num_microbatches);
   const std::vector<StageTiming> timings =
       ComputeStageTimings(sections.value(), partition.value(), vm.gpu, m);
   const TraceReport trace = TraceCrossPartitionState(graph, sections.value(), TraceOptions());

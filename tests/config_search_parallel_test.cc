@@ -2,8 +2,12 @@
 // attached must return results bit-identical to a serial sweep — same
 // JobConfig vectors, doubles included — across calibration seeds, GPU counts
 // and pool sizes. Also pins the memoization semantics: repeated sweeps hit the
-// memo, recalibration invalidates it, and schedule shapes are generated once.
+// memo, recalibration invalidates it, and schedule shapes are generated once
+// per process, shared by every search.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/vm.h"
@@ -146,19 +150,86 @@ TEST(ConfigSearchParallelTest, InfeasibleSweepsAreMemoizedToo) {
 }
 
 TEST(ScheduleCacheTest, GeneratesEachShapeOnce) {
-  ScheduleCache cache;
+  ScheduleCache& cache = ScheduleCache::Shared();
   const Schedule& a = cache.Get(ScheduleKind::kVaruna, 4, 8);
+  const ScheduleCacheStats first = cache.stats();
   const Schedule& b = cache.Get(ScheduleKind::kVaruna, 4, 8);
   EXPECT_EQ(&a, &b);  // Stable reference, no regeneration.
+  EXPECT_EQ(cache.stats().misses, first.misses);
+  EXPECT_EQ(cache.stats().hits, first.hits + 1);
   const Schedule& c = cache.Get(ScheduleKind::kVaruna, 4, 9);
   EXPECT_NE(&a, &c);
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  // Clear() drops entries and resets the counters (cold-start semantics).
-  cache.Clear();
-  (void)cache.Get(ScheduleKind::kVaruna, 4, 8);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 0u);
+  // The memo hands back exactly what generation produces.
+  EXPECT_EQ(a.ops, GenerateSchedule(ScheduleKind::kVaruna, 4, 8).ops);
+  // Every search serves its sweeps from the one shared instance.
+  Fixture fx;
+  const ConfigSearch search(&fx.spec, &fx.sections, &fx.calibration);
+  const ConfigSearch other(&fx.spec, &fx.sections, &fx.calibration);
+  EXPECT_EQ(search.schedule_cache(), &cache);
+  EXPECT_EQ(other.schedule_cache(), &cache);
+  // ClearCaches() drops the search's memos, never the shared schedules.
+  search.ClearCaches();
+  EXPECT_EQ(&cache.Get(ScheduleKind::kVaruna, 4, 8), &a);
+}
+
+// Independent searches (the shape of a campaign fan-out) sweep concurrently
+// on ThreadPool workers over cluster sizes whose candidates overlap, so their
+// first requests for a schedule shape collide in the one shared memo. Results
+// must be bit-identical to a serial search's, and every search must be handed
+// the very same schedule object for a shape. The TSan leg runs this test.
+TEST(ConfigSearchParallelTest, ConcurrentSearchesShareOneScheduleMemo) {
+  Fixture fx;
+  const SearchConstraints constraints = DefaultConstraints();
+  const std::vector<int> sizes = {36, 35, 32, 40};
+  constexpr int kSearches = 4;
+  std::vector<std::unique_ptr<ConfigSearch>> searches;
+  for (int i = 0; i < kSearches; ++i) {
+    searches.push_back(std::make_unique<ConfigSearch>(&fx.spec, &fx.sections, &fx.calibration));
+  }
+  // concurrent[i][k]: search i's sweep at sizes[k] (empty when it failed).
+  std::vector<std::vector<std::vector<JobConfig>>> concurrent(
+      kSearches, std::vector<std::vector<JobConfig>>(sizes.size()));
+  ThreadPool pool(kSearches);
+  // Every search walks the sizes in the same order (a pruned sweep's list
+  // depends on what the search has memoized, so the serial reference walks it
+  // too), which makes their first requests for each shape arrive together.
+  pool.ParallelFor(kSearches, [&](int item, int) {
+    for (size_t k = 0; k < sizes.size(); ++k) {
+      const auto sweep = searches[static_cast<size_t>(item)]->Sweep(sizes[k], constraints);
+      if (sweep.ok()) {
+        concurrent[static_cast<size_t>(item)][k] = sweep.value();
+      }
+    }
+  });
+
+  ConfigSearch serial(&fx.spec, &fx.sections, &fx.calibration);
+  const uint64_t misses_before = serial.schedule_cache()->stats().misses;
+  for (size_t k = 0; k < sizes.size(); ++k) {
+    const auto sweep = serial.Sweep(sizes[k], constraints);
+    ASSERT_TRUE(sweep.ok()) << "G=" << sizes[k];
+    ASSERT_FALSE(sweep.value().empty());
+    for (int i = 0; i < kSearches; ++i) {
+      EXPECT_EQ(concurrent[static_cast<size_t>(i)][k], sweep.value())
+          << "search " << i << " G=" << sizes[k];
+    }
+  }
+  // The concurrent searches already generated every shape the serial one needs.
+  EXPECT_EQ(serial.schedule_cache()->stats().misses, misses_before);
+
+  for (const auto& row : concurrent) {
+    for (const auto& sweep : row) {
+      for (const JobConfig& config : sweep) {
+        const Schedule* shared = &serial.schedule_cache()->Get(
+            ScheduleKind::kVaruna, config.pipeline_depth, config.num_microbatches);
+        for (const auto& search : searches) {
+          EXPECT_EQ(&search->schedule_cache()->Get(ScheduleKind::kVaruna, config.pipeline_depth,
+                                                   config.num_microbatches),
+                    shared)
+              << "P=" << config.pipeline_depth << " Nm=" << config.num_microbatches;
+        }
+      }
+    }
+  }
 }
 
 TEST(ConfigSearchParallelTest, SweepReusesCandidatesAcrossClusterSizes) {

@@ -215,5 +215,38 @@ TEST(ScheduleTest, OnlyVarunaIsOpportunistic) {
   EXPECT_FALSE(GenerateSchedule(ScheduleKind::kDeepSpeed, 2, 2).opportunistic);
 }
 
+// PipeOp packs its type and micro-batch into 4 bytes; both fields must
+// survive their extreme values without bleeding into each other.
+TEST(PipeOpTest, FieldsRoundTripAtTheExtremes) {
+  static_assert(sizeof(PipeOp) == 4);
+  const PipeOp fresh;
+  EXPECT_EQ(fresh.type, PipeOpType::kForward);
+  EXPECT_EQ(fresh.microbatch, -1);
+
+  PipeOp idle{PipeOpType::kIdleBackward, -1};
+  EXPECT_EQ(idle.type, PipeOpType::kIdleBackward);
+  EXPECT_EQ(idle.microbatch, -1);
+
+  PipeOp last{PipeOpType::kBackward, (1 << 23) - 1};
+  EXPECT_EQ(last.type, PipeOpType::kBackward);
+  EXPECT_EQ(last.microbatch, (1 << 23) - 1);
+  EXPECT_EQ(last.microbatch, kMaxScheduleMicrobatches);
+  last.type = PipeOpType::kIdleForward;
+  EXPECT_EQ(last.microbatch, (1 << 23) - 1);
+  last.microbatch = -1;
+  EXPECT_EQ(last.type, PipeOpType::kIdleForward);
+  EXPECT_EQ(last, (PipeOp{PipeOpType::kIdleForward, -1}));
+  EXPECT_NE(idle, last);
+}
+
+// 2^23 micro-batches exceed kMaxScheduleMicrobatches. GenerateSchedule must
+// refuse the shape up front: the message is the entry check's, not a failure
+// from inside a generator that already allocated millions of ops.
+TEST(PipeOpDeathTest, GenerateScheduleRejectsOverflowingMicrobatchCount) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(GenerateSchedule(ScheduleKind::kVaruna, 1, 1 << 23),
+               "num_microbatches exceeds PipeOp's 24-bit micro-batch field");
+}
+
 }  // namespace
 }  // namespace varuna
